@@ -15,7 +15,6 @@ use maddpipe_bench::kernel_workloads::{
     bus_fanout_sim, completion_tree_sim, inverter_chain, macro_testbench,
 };
 use maddpipe_bench::load_gen::{drive, LoadMode, LoadScenario};
-use maddpipe_core::batched::LaneKernel;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::MacroProgram;
 use maddpipe_nn::network::Network;
@@ -201,13 +200,13 @@ fn cache_snapshot() -> (f64, f64, f64, u64) {
 }
 
 /// Serving-queue throughput and latency at the flagship shape:
-/// `clients` submitter threads push bursts through one `ServeQueue` over
-/// a single-worker functional backend. Returns the median tokens/s plus
-/// the queue-wait p50/p99 (µs) and mean coalesced micro-batch size
-/// accumulated over *all* timed repetitions (the queue is long-lived,
-/// like the sessions of the sibling benches) — the queue-side view
-/// `SessionStats` adds on top of the backend rates above. Like the
-/// thread/shard scaling, interpret against `host_cpus`.
+/// `clients` submitter threads push bursts through a one-replica FIFO
+/// `ReplicaPool` over a single-worker functional backend. Returns the
+/// median tokens/s plus the queue-wait p50/p99 (µs) and mean coalesced
+/// micro-batch size accumulated over *all* timed repetitions (the queue
+/// is long-lived, like the sessions of the sibling benches) — the
+/// queue-side view `SessionStats` adds on top of the backend rates
+/// above. Like the thread/shard scaling, interpret against `host_cpus`.
 fn serving_queue_snapshot(clients: usize) -> (f64, f64, f64, f64) {
     let cfg = MacroConfig::paper_flagship();
     let ns = cfg.ns;
@@ -219,10 +218,12 @@ fn serving_queue_snapshot(clients: usize) -> (f64, f64, f64, f64) {
     let queue = Session::builder(cfg)
         .program(program)
         .backend(BackendKind::Functional { workers: 1 })
-        .into_serving(
-            QueuePolicy::default()
-                .with_max_batch(256)
-                .with_max_linger(Duration::from_micros(100)),
+        .into_pool(
+            ServePolicy::default().with_queue(
+                QueuePolicy::default()
+                    .with_max_batch(256)
+                    .with_max_linger(Duration::from_micros(100)),
+            ),
         )
         .expect("queue comes up");
     // Pre-generate every client's bursts, mirroring the pre-built batch
@@ -456,9 +457,9 @@ fn pipeline_snapshot(images: usize) -> (f64, Vec<(String, f64, f64)>) {
 /// 2-replica pool, printed but never written to `results/` — enough
 /// for CI to prove the serving path moves tokens.
 fn smoke() {
-    // Batched-kernel pass: both lane kernels bit-identical to the scalar
-    // spec on a ragged (non-lane-multiple) flagship batch — the contract
-    // behind the `functional_simd` rows of the full snapshot.
+    // Batched-kernel pass: the kernel is bit-identical to the scalar
+    // spec on a flagship batch — the contract behind the
+    // `functional_simd` rows of the full snapshot.
     {
         let cfg = MacroConfig::paper_flagship();
         let program = MacroProgram::random(cfg.ndec, cfg.ns, 7);
@@ -468,18 +469,14 @@ fn smoke() {
             .iter()
             .map(|t| program.reference_output(t))
             .collect();
-        let view = program.batched();
-        for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-            assert_eq!(
-                view.evaluate_with(batch.tokens(), kernel),
-                golden,
-                "{kernel:?} diverged from the scalar spec"
-            );
-        }
+        assert_eq!(
+            program.batched().evaluate(batch.tokens()),
+            golden,
+            "the batched kernel diverged from the scalar spec"
+        );
         println!(
-            "smoke batched: both lane kernels bit-identical to the scalar spec on {} tokens (default: {:?})",
-            batch.len(),
-            FunctionalKernel::default()
+            "smoke batched: kernel bit-identical to the scalar spec on {} tokens",
+            batch.len()
         );
     }
     let pool = flagship_pool(2, 64);
@@ -679,12 +676,7 @@ fn main() {
     let fun_w1 = functional_tokens_per_sec(1, FunctionalKernel::Scalar);
     let fun_w2 = functional_tokens_per_sec(2, FunctionalKernel::Scalar);
     let fun_w4 = functional_tokens_per_sec(4, FunctionalKernel::Scalar);
-    let simd_portable_w1 = functional_tokens_per_sec(1, FunctionalKernel::Portable);
-    let simd_bitsliced_w1 = functional_tokens_per_sec(1, FunctionalKernel::BitSliced);
-    let (default_kernel_name, simd_w1) = match FunctionalKernel::default() {
-        FunctionalKernel::BitSliced => ("bitsliced", simd_bitsliced_w1),
-        _ => ("portable", simd_portable_w1),
-    };
+    let simd_w1 = functional_tokens_per_sec(1, FunctionalKernel::Portable);
     let simd_host = functional_tokens_per_sec(cpus, FunctionalKernel::default());
     let shd_s1 = sharded_tokens_per_sec(1);
     let shd_s2 = sharded_tokens_per_sec(2);
@@ -728,20 +720,11 @@ fn main() {
     let _ = writeln!(json, "    \"rtl_ndec2_ns2_sequential\": {rtl_seq:.1},");
     let _ = writeln!(json, "    \"rtl_ndec2_ns2_pipelined\": {rtl_pip:.1}");
     let _ = writeln!(json, "  }},");
-    // The batched lane kernels of the functional backend, against the
-    // scalar `functional_flagship_w1` baseline above (which deliberately
-    // still measures the one-token-at-a-time executable spec). `w1` is
-    // the kernel the `simd` cargo feature selects as the default.
+    // The batched kernel of the functional backend, against the scalar
+    // `functional_flagship_w1` baseline above (which deliberately still
+    // measures the one-token-at-a-time executable spec).
     let _ = writeln!(json, "  \"functional_simd\": {{");
-    let _ = writeln!(json, "    \"default_kernel\": \"{default_kernel_name}\",");
-    let _ = writeln!(
-        json,
-        "    \"portable_w1_tokens_per_sec\": {simd_portable_w1:.0},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"bitsliced_w1_tokens_per_sec\": {simd_bitsliced_w1:.0},"
-    );
+    let _ = writeln!(json, "    \"portable_w1_tokens_per_sec\": {simd_w1:.0},");
     let _ = writeln!(json, "    \"w1_tokens_per_sec\": {simd_w1:.0},");
     let _ = writeln!(json, "    \"host_cpus_tokens_per_sec\": {simd_host:.0},");
     let _ = writeln!(

@@ -26,7 +26,7 @@ pub mod load_gen;
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Renders an aligned text table.
 ///
@@ -76,15 +76,24 @@ pub fn emit(name: &str, content: &str) {
     }
 }
 
-/// The `results/` directory at the workspace root (falls back to the
-/// current directory when the workspace root cannot be located).
+/// The `results/` directory of the workspace the program runs in: the
+/// first ancestor of the current directory holding a `Cargo.lock`, else
+/// `./results`. Resolved at run time, so a copied checkout writes into
+/// its own tree.
 pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench → workspace root is two up.
-    let base = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    base.parent()
-        .and_then(|p| p.parent())
-        .map(|p| p.join("results"))
+    std::env::current_dir()
+        .ok()
+        .and_then(|cwd| workspace_results(&cwd))
         .unwrap_or_else(|| PathBuf::from("results"))
+}
+
+/// `results/` under the first ancestor of `start` (itself included)
+/// that holds a `Cargo.lock`.
+fn workspace_results(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| dir.join("Cargo.lock").is_file())
+        .map(|root| root.join("results"))
 }
 
 /// Shared workloads for the event-kernel benchmarks, used by both the
@@ -218,5 +227,28 @@ mod tests {
     fn results_dir_points_at_workspace() {
         let d = results_dir();
         assert!(d.ends_with("results"), "{d:?}");
+    }
+
+    #[test]
+    fn results_dir_lies_under_the_current_workspace() {
+        // Tests run from the package directory inside the checkout: the
+        // resolved directory sits in an ancestor of the current one,
+        // next to that ancestor's Cargo.lock.
+        let cwd = std::env::current_dir().unwrap();
+        let d = results_dir();
+        let root = d.parent().expect("results has a parent");
+        assert!(cwd.starts_with(root), "{d:?} not above {cwd:?}");
+        assert!(root.join("Cargo.lock").is_file(), "{root:?}");
+
+        // Deeper directories resolve to the nearest Cargo.lock above them.
+        let tmp = std::env::temp_dir().join(format!("maddpipe-results-{}", std::process::id()));
+        let nested = tmp.join("a").join("b");
+        fs::create_dir_all(&nested).unwrap();
+        let found_before = workspace_results(&nested);
+        fs::write(tmp.join("Cargo.lock"), "").unwrap();
+        let found_after = workspace_results(&nested);
+        fs::remove_dir_all(&tmp).unwrap();
+        assert!(!matches!(found_before, Some(p) if p.starts_with(&tmp)));
+        assert_eq!(found_after, Some(tmp.join("results")));
     }
 }

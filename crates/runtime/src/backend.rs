@@ -12,7 +12,7 @@
 
 use crate::batch::{BatchResult, TokenBatch};
 use crate::error::BackendError;
-use maddpipe_core::config::{MacroConfig, LEVELS};
+use maddpipe_core::config::{MacroConfig, LEVELS, SUBVECTOR_LEN};
 use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
 
 /// Builds a backend on whatever thread ends up owning it. The closure
@@ -306,14 +306,18 @@ pub trait MacroBackend {
     }
 }
 
-/// Checks a program against a configuration: matching shape and hardware
-/// tree depth. Shared by the session builder and the backend constructors.
+/// Checks a program against a configuration: matching shape, one LUT
+/// stage per tree with the same decoder count in every stage, the
+/// hardware tree depth and in-range split dimensions. Shared by the
+/// session builder and the backend constructors.
 ///
 /// # Errors
 ///
 /// Returns [`BackendError::ProgramMismatch`] on a shape disagreement and
-/// [`BackendError::MalformedProgram`] when a hash tree does not have the
-/// hardware's fixed depth.
+/// [`BackendError::MalformedProgram`] when the LUT stages do not match
+/// the trees, a stage has a different decoder count, a hash tree does
+/// not have the hardware's fixed depth, or a tree splits on a dimension
+/// outside the subvector.
 pub fn validate_program(cfg: &MacroConfig, program: &MacroProgram) -> Result<(), BackendError> {
     if program.ndec() != cfg.ndec || program.ns() != cfg.ns {
         return Err(BackendError::ProgramMismatch {
@@ -323,14 +327,34 @@ pub fn validate_program(cfg: &MacroConfig, program: &MacroProgram) -> Result<(),
             program_ns: program.ns(),
         });
     }
+    let malformed = |reason: String| Err(BackendError::MalformedProgram { reason });
+    if program.luts.len() != program.trees.len() {
+        return malformed(format!(
+            "{} LUT stages for {} trees",
+            program.luts.len(),
+            program.trees.len()
+        ));
+    }
+    for (s, luts) in program.luts.iter().enumerate() {
+        if luts.len() != cfg.ndec {
+            return malformed(format!(
+                "stage {s} has {} decoders, stage 0 has {}",
+                luts.len(),
+                cfg.ndec
+            ));
+        }
+    }
     for (s, tree) in program.trees.iter().enumerate() {
         if tree.levels() != LEVELS {
-            return Err(BackendError::MalformedProgram {
-                reason: format!(
-                    "stage {s} tree has {} levels, hardware encoder is {LEVELS}-level",
-                    tree.levels()
-                ),
-            });
+            return malformed(format!(
+                "stage {s} tree has {} levels, hardware encoder is {LEVELS}-level",
+                tree.levels()
+            ));
+        }
+        if let Some(&dim) = tree.split_dims().iter().find(|&&d| d >= SUBVECTOR_LEN) {
+            return malformed(format!(
+                "stage {s} tree splits on dimension {dim}, subvectors have {SUBVECTOR_LEN}"
+            ));
         }
     }
     Ok(())
@@ -356,6 +380,34 @@ mod tests {
                 program_ns: 2,
             })
         );
+
+        // Malformed programs of the right outer shape are rejected before
+        // any backend is built, instead of panicking in the batched view
+        // or failing every batch as a retryable fault.
+        let mut short_luts = good.clone();
+        short_luts.luts.pop();
+        let mut ragged = good.clone();
+        ragged.luts[1].pop();
+        let mut wide_split = good.clone();
+        wide_split.trees[1] =
+            maddpipe_amm::bdt::BdtEncoder::from_parts(vec![0, 1, 2, SUBVECTOR_LEN], vec![0.0; 15])
+                .unwrap()
+                .quantize(maddpipe_amm::quant::QuantScale::UNIT);
+        for (name, program) in [
+            ("short LUT table", short_luts),
+            ("ragged decoder counts", ragged),
+            ("split dimension out of range", wide_split),
+        ] {
+            for result in [
+                validate_program(&cfg, &program),
+                BackendKind::default().build(&cfg, program).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(result, Err(BackendError::MalformedProgram { .. })),
+                    "{name}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]

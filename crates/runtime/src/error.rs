@@ -138,8 +138,8 @@ pub enum BackendError {
     QueueClosed,
     /// The session cannot be converted into a serving queue — it was
     /// built from a caller-constructed backend, so there is no recipe to
-    /// rebuild the backend on the dispatcher thread. Use
-    /// [`ServeQueue::from_factory`](crate::queue::ServeQueue::from_factory)
+    /// rebuild the backend on a replica thread. Use
+    /// [`ReplicaPool::from_factories`](crate::pool::ReplicaPool::from_factories)
     /// instead.
     QueueUnavailable {
         /// Human-readable explanation.

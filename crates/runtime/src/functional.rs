@@ -3,44 +3,33 @@
 use crate::backend::MacroBackend;
 use crate::batch::{BatchResult, Token, TokenBatch, TokenObservation};
 use crate::error::BackendError;
-use maddpipe_core::batched::{default_kernel, BatchedProgram, LaneKernel, LANE};
+use maddpipe_core::batched::BatchedProgram;
 use maddpipe_core::macro_rtl::MacroProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How a [`FunctionalBackend`] evaluates the LUT math of each shard.
 ///
-/// The default is the batched lane kernel selected by the `simd` cargo
-/// feature ([`default_kernel`]): bit-sliced with the feature, portable
-/// without. All kernels are bit-identical; `Scalar` keeps the original
+/// The default is the batched kernel ([`BatchedProgram::evaluate`]).
+/// Both kernels are bit-identical; `Scalar` keeps the original
 /// one-token-at-a-time walk ([`MacroProgram::reference_output`])
 /// selectable as the executable spec and as a benchmarking baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FunctionalKernel {
     /// One token at a time through the scalar reference — the executable
-    /// spec the batched kernels are pinned against.
+    /// spec the batched kernel is pinned against.
     Scalar,
-    /// Batched portable kernel ([`LaneKernel::Portable`]).
+    /// The batched struct-of-arrays kernel ([`BatchedProgram`]).
+    #[default]
     Portable,
-    /// Batched bit-sliced kernel ([`LaneKernel::BitSliced`]).
-    BitSliced,
-}
-
-impl Default for FunctionalKernel {
-    fn default() -> FunctionalKernel {
-        match default_kernel() {
-            LaneKernel::Portable => FunctionalKernel::Portable,
-            LaneKernel::BitSliced => FunctionalKernel::BitSliced,
-        }
-    }
 }
 
 /// Executes batches with the exact wrapping-i16 LUT semantics of the
-/// silicon — no timing model — a [`LANE`] of tokens at a time through the
-/// struct-of-arrays [`BatchedProgram`] view, sharding lane blocks across
-/// OS threads for throughput.
+/// silicon — no timing model — through the struct-of-arrays
+/// [`BatchedProgram`] view, sharding each batch across OS threads for
+/// throughput.
 ///
 /// [`MacroProgram::reference_output`] remains the executable spec; the
-/// batched kernels are pinned bit-identical to it by proptest, and
+/// batched kernel is pinned bit-identical to it by proptest, and
 /// [`FunctionalKernel::Scalar`] keeps the spec selectable at runtime.
 ///
 /// A panic on a worker thread (e.g. a malformed hand-built program whose
@@ -108,11 +97,10 @@ impl FunctionalBackend {
                 .iter()
                 .map(|t| self.program.reference_output(t))
                 .collect(),
-            FunctionalKernel::Portable => self.batched.evaluate_with(shard, LaneKernel::Portable),
-            FunctionalKernel::BitSliced => self.batched.evaluate_with(shard, LaneKernel::BitSliced),
+            FunctionalKernel::Portable => self.batched.evaluate(shard),
         };
         catch_unwind(AssertUnwindSafe(run)).map_err(|payload| BackendError::Transient {
-            reason: format!("functional worker panicked: {}", panic_reason(&payload)),
+            reason: format!("functional worker panicked: {}", panic_reason(&*payload)),
         })
     }
 }
@@ -130,43 +118,18 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Balanced contiguous partition of `n` tokens across up to `workers`
-/// shards (empty for `n == 0`; never more than `n` shards).
-///
-/// When the batch is large enough, whole [`LANE`] blocks are distributed
-/// so every worker runs full 64-token lanes (sizes differ by at most one
-/// block, largest first; only the final shard carries the ragged tail).
-/// Smaller batches fall back to balancing token counts so no requested
-/// worker idles — the old `div_ceil` chunking could leave trailing
-/// workers without a shard (5 tokens / 4 workers → 2/2/1 and one worker
-/// unused).
+/// shards (empty for `n == 0`; never more than `n` shards). Sizes differ
+/// by at most one token, largest first, so no requested worker idles —
+/// the old `div_ceil` chunking could leave trailing workers without a
+/// shard (5 tokens / 4 workers → 2/2/1 and one worker unused).
 fn shard_sizes(n: usize, workers: usize) -> Vec<usize> {
-    let w = workers.clamp(1, n.max(1));
     if n == 0 {
         return Vec::new();
     }
-    if w == 1 {
-        return vec![n];
-    }
-    let blocks = n.div_ceil(LANE);
-    if blocks >= w {
-        // Lane-aligned regime: hand out whole blocks, remainder first.
-        let base = blocks / w;
-        let rem = blocks % w;
-        let mut sizes = Vec::with_capacity(w);
-        let mut start = 0usize;
-        for i in 0..w {
-            let end = (start + (base + usize::from(i < rem)) * LANE).min(n);
-            sizes.push(end - start);
-            start = end;
-        }
-        sizes
-    } else {
-        // Fewer blocks than workers: balance raw token counts instead so
-        // every worker still gets a shard.
-        let base = n / w;
-        let rem = n % w;
-        (0..w).map(|i| base + usize::from(i < rem)).collect()
-    }
+    let w = workers.clamp(1, n);
+    let base = n / w;
+    let rem = n % w;
+    (0..w).map(|i| base + usize::from(i < rem)).collect()
 }
 
 impl MacroBackend for FunctionalBackend {
@@ -261,11 +224,7 @@ mod tests {
             .iter()
             .map(|t| program.reference_output(t))
             .collect();
-        for kernel in [
-            FunctionalKernel::Scalar,
-            FunctionalKernel::Portable,
-            FunctionalKernel::BitSliced,
-        ] {
+        for kernel in [FunctionalKernel::Scalar, FunctionalKernel::Portable] {
             for workers in [1usize, 3] {
                 let mut backend = FunctionalBackend::with_kernel(program.clone(), workers, kernel);
                 let got = backend.run_batch(&batch).unwrap();
@@ -312,11 +271,7 @@ mod tests {
     fn worker_panic_resolves_as_typed_transient_error() {
         // Regression: this used to `.expect` on the join handle, turning
         // any worker panic into a process abort.
-        for kernel in [
-            FunctionalKernel::Scalar,
-            FunctionalKernel::Portable,
-            FunctionalKernel::BitSliced,
-        ] {
+        for kernel in [FunctionalKernel::Scalar, FunctionalKernel::Portable] {
             for workers in [1usize, 4] {
                 let mut backend =
                     FunctionalBackend::with_kernel(panicking_program(), workers, kernel);
@@ -328,6 +283,14 @@ mod tests {
                             reason.contains("functional worker panicked"),
                             "{kernel:?}/{workers}: {reason}"
                         );
+                        // The kernel's own panic text, not an opaque
+                        // placeholder: the scalar spec indexes the LUT,
+                        // the batched kernel slices its code-major row.
+                        let own_text = match kernel {
+                            FunctionalKernel::Scalar => "index out of bounds",
+                            FunctionalKernel::Portable => "out of range for slice",
+                        };
+                        assert!(reason.contains(own_text), "{kernel:?}/{workers}: {reason}");
                     }
                     other => panic!("{kernel:?}/{workers}: expected Transient, got {other:?}"),
                 }
@@ -360,12 +323,9 @@ mod tests {
         // worker idle; the balanced partition uses all requested workers.
         assert_eq!(shard_sizes(5, 4), vec![2, 1, 1, 1]);
         assert_eq!(shard_sizes(7, 3), vec![3, 2, 2]);
-        // Large batches shard whole 64-token lane blocks (5 blocks over 4
-        // workers → 2/1/1/1 blocks), the final shard taking the ragged
-        // tail.
-        assert_eq!(shard_sizes(320, 4), vec![128, 64, 64, 64]);
-        assert_eq!(shard_sizes(259, 4), vec![128, 64, 64, 3]);
-        // Fewer blocks than workers falls back to token balancing.
+        // Large batches balance token counts too, largest shards first.
+        assert_eq!(shard_sizes(320, 4), vec![80, 80, 80, 80]);
+        assert_eq!(shard_sizes(259, 4), vec![65, 65, 65, 64]);
         assert_eq!(shard_sizes(64, 4), vec![16, 16, 16, 16]);
         // Never more shards than tokens; zero tokens means zero shards.
         assert_eq!(shard_sizes(1, 4), vec![1]);

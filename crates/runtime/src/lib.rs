@@ -25,8 +25,8 @@
 //!
 //! On top sits the [`Session`] builder, which owns batching and aggregate
 //! [`SessionStats`] (tokens/s, total energy, p50/p99 token latency) —
-//! and, for many-client serving, converts into an async [`ServeQueue`]
-//! ([`Session::into_serving`]): submissions from any number of threads
+//! and, for many-client serving, converts into a [`ReplicaPool`]
+//! ([`Session::into_pool`]): submissions from any number of threads
 //! are coalesced into micro-batches under a [`QueuePolicy`] and resolved
 //! through [`BatchTicket`] handles, with typed
 //! [`BackendError::QueueFull`] backpressure:
@@ -89,7 +89,7 @@ pub use plan::ShardPlan;
 pub use pool::{
     Fairness, PoolHealth, RecoveryPolicy, ReplicaFactory, ReplicaPool, ServePolicy, SubmitOptions,
 };
-pub use queue::{BatchTicket, QueuePolicy, QueueReply, ServeQueue};
+pub use queue::{BatchTicket, QueuePolicy, QueueReply};
 pub use rtl::RtlBackend;
 pub use session::{Session, SessionBuilder, SessionStats, StageProfile};
 pub use sharded::{ShardFactory, ShardedBackend};
@@ -117,7 +117,7 @@ pub mod prelude {
         Fairness, PoolHealth, RecoveryPolicy, ReplicaFactory, ReplicaPool, ServePolicy,
         SubmitOptions,
     };
-    pub use crate::queue::{BatchTicket, QueuePolicy, QueueReply, ServeQueue};
+    pub use crate::queue::{BatchTicket, QueuePolicy, QueueReply};
     pub use crate::rtl::RtlBackend;
     pub use crate::session::{Session, SessionBuilder, SessionStats, StageProfile};
     pub use crate::sharded::ShardedBackend;

@@ -1,8 +1,7 @@
 //! Replica-pool serving: N backend replicas behind one scheduler.
 //!
-//! A [`ServeQueue`](crate::queue::ServeQueue) keeps one dispatcher
-//! feeding one backend, which makes host-side queueing the bottleneck
-//! long before the macro is. A [`ReplicaPool`] generalises it: *N*
+//! One dispatcher feeding one backend makes host-side queueing the
+//! bottleneck long before the macro is. A [`ReplicaPool`] runs *N*
 //! replicas, each built on its own thread from a
 //! [`BackendFactory`] (so non-`Send` netlists replicate exactly like
 //! they serve), all pulling from one shared submission queue. This is
@@ -104,8 +103,7 @@ pub type ReplicaFactory =
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fairness {
     /// Strict arrival order: requests are packed front-to-back, never
-    /// reordered — identical to the single
-    /// [`ServeQueue`](crate::queue::ServeQueue) discipline. (A request
+    /// reordered — a single FIFO queue. (A request
     /// backing off after a transient failure holds only its own
     /// client's later requests; other clients keep flowing.)
     #[default]
@@ -229,8 +227,8 @@ pub struct ServePolicy {
 
 impl Default for ServePolicy {
     /// One replica, the default [`QueuePolicy`], FIFO fairness and the
-    /// default [`RecoveryPolicy`] — the behaviour of a plain
-    /// [`ServeQueue`](crate::queue::ServeQueue), plus retries.
+    /// default [`RecoveryPolicy`]: a plain one-backend FIFO queue with
+    /// retries.
     fn default() -> ServePolicy {
         ServePolicy {
             replicas: 1,
@@ -668,8 +666,9 @@ impl ReplicaPool {
     }
 
     /// A snapshot of the aggregate statistics so far: everything a
-    /// [`ServeQueue`](crate::queue::ServeQueue) measures, plus
-    /// per-replica dispatch counts, busy time against the pool's
+    /// [`Session`](crate::session::Session) measures, queue-wait
+    /// percentiles, coalesced micro-batch sizes, the deepest backlog
+    /// observed, plus per-replica dispatch counts, busy time against the pool's
     /// uptime, and the [`PoolHealth`] degradation picture.
     pub fn stats(&self) -> SessionStats {
         // Fold in any backlog high-water mark the replicas have not

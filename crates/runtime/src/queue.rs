@@ -1,59 +1,43 @@
-//! Async serving: a submission queue in front of any
-//! [`MacroBackend`](crate::backend::MacroBackend).
+//! Async serving: the submission contract in front of every
+//! [`ReplicaPool`](crate::pool::ReplicaPool).
 //!
 //! The paper's macro is self-synchronous and completion-driven — a token
 //! is done when the DLC ripple settles, not when a clock says so — which
 //! makes variable-latency, many-client serving the natural software
-//! analogue. A [`ServeQueue`] is that serving front door: any number of
-//! client threads call [`ServeQueue::submit`] and get back a
-//! [`BatchTicket`] immediately; a dispatcher thread coalesces pending
+//! analogue. This module holds the client-facing half of that serving
+//! front door: any number of client threads call
+//! [`ReplicaPool::submit`](crate::pool::ReplicaPool::submit) and get
+//! back a [`BatchTicket`] immediately; the pool coalesces pending
 //! submissions into micro-batches under a [`QueuePolicy`], runs them on
-//! the backend it owns, and resolves each ticket with that request's own
-//! slice of the results plus its measured queue-wait and service latency.
+//! its replicas, and resolves each ticket with a [`QueueReply`]: that
+//! request's own slice of the results plus its measured queue-wait and
+//! service latency.
 //!
-//! Since the replica-pool generalisation, `ServeQueue` is the
-//! one-replica, FIFO specialisation of
-//! [`ReplicaPool`] — same waiting room, same
-//! tickets, one backend. Reach for the pool when you want data-parallel
-//! replicas, per-client fairness or deadline-aware batching.
+//! [`Session::into_pool`](crate::session::Session::into_pool) is the
+//! one conversion from a session to a serving pool; the default
+//! [`ServePolicy`](crate::pool::ServePolicy) is a single FIFO replica, so
+//! `into_pool(ServePolicy::default().with_queue(policy))` is a plain
+//! one-backend queue.
 //!
 //! Design points, in the order they matter:
 //!
 //! * **No executor.** Tickets are condvar-backed wait/poll handles on
 //!   `std` threads — the workspace has no async runtime and the vendored
 //!   dependency set stays closed.
-//! * **FIFO fairness.** Submissions enter one queue in arrival order and
-//!   are dispatched in that order; a micro-batch never reorders or splits
-//!   a request, so every client's tokens stay contiguous and ordered.
-//! * **Bounded on two axes.** The queue holds at most
+//! * **Bounded on two axes.** A pool holds at most
 //!   [`QueuePolicy::max_depth`] unresolved requests and at most
 //!   [`QueuePolicy::max_pending_tokens`] queued tokens; beyond either,
-//!   [`submit`](ServeQueue::submit) answers with typed
-//!   [`BackendError::QueueFull`] backpressure (naming the bound hit via
+//!   `submit` answers with typed [`BackendError::QueueFull`]
+//!   backpressure (naming the bound hit via
 //!   [`QueueLimit`](crate::error::QueueLimit)) instead of buffering
 //!   without limit.
-//! * **Coalescing.** The dispatcher packs whole requests, FIFO, into a
-//!   micro-batch of up to [`QueuePolicy::max_batch`] tokens, lingering up
-//!   to [`QueuePolicy::max_linger`] past the oldest submission to let a
-//!   fuller batch form. A *fatal* backend failure resolves every ticket
-//!   that rode in the failed micro-batch with a clone of the typed
-//!   error; a *transient* one (see [`BackendError::is_transient`]) is
-//!   first retried with backoff under the underlying pool's default
-//!   [`RecoveryPolicy`](crate::pool::RecoveryPolicy), riders intact.
-//! * **Clean shutdown.** [`close`](ServeQueue::close) stops intake while
-//!   the dispatcher drains what was already accepted;
-//!   [`shutdown`](ServeQueue::shutdown) (and `Drop`) additionally joins
-//!   the dispatcher. Accepted tickets always resolve — with results when
-//!   the backend serves them, with [`BackendError::QueueClosed`] if the
-//!   dispatcher dies first. No ticket is ever leaked.
-//!
-//! Like the sharded backend's workers, the dispatcher *builds* its
-//! backend on its own thread (via a [`BackendFactory`]), so non-`Send`
-//! backends — the event-driven netlist — serve behind a queue exactly
-//! like the pure-math ones.
-//! [`Session::into_serving`](crate::session::Session::into_serving) is
-//! the convenient path: it rebuilds the session's `BackendKind` recipe
-//! on the dispatcher and carries the accumulated [`SessionStats`] over.
+//! * **Coalescing.** Whole requests are packed into a micro-batch of up
+//!   to [`QueuePolicy::max_batch`] tokens, lingering up to
+//!   [`QueuePolicy::max_linger`] past the oldest submission to let a
+//!   fuller batch form. A micro-batch never splits a request.
+//! * **Exactly-once resolution.** Accepted tickets always resolve — with
+//!   results when a replica serves them, with a typed error otherwise.
+//!   No ticket is ever leaked.
 //!
 //! ```
 //! use maddpipe_runtime::prelude::*;
@@ -65,7 +49,7 @@
 //!     .program(program.clone())
 //!     .build()
 //!     .unwrap()
-//!     .into_serving(QueuePolicy::default())
+//!     .into_pool(ServePolicy::default().with_queue(QueuePolicy::default()))
 //!     .unwrap();
 //! std::thread::scope(|s| {
 //!     for client in 0..4u64 {
@@ -87,17 +71,13 @@
 //! assert!(stats.p50_queue_wait().is_some());
 //! ```
 
-use crate::backend::BackendFactory;
-use crate::batch::{BatchResult, TokenBatch};
+use crate::batch::BatchResult;
 use crate::error::BackendError;
-use crate::pool::{ReplicaPool, ServePolicy};
-use crate::session::SessionStats;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How a serving queue or [`ReplicaPool`]
-/// coalesces submissions into micro-batches and when it pushes back on
-/// clients.
+/// How a [`ReplicaPool`](crate::pool::ReplicaPool) coalesces
+/// submissions into micro-batches and when it pushes back on clients.
 ///
 /// ```
 /// use maddpipe_runtime::queue::QueuePolicy;
@@ -194,9 +174,8 @@ pub struct QueueReply {
     /// Total tokens in that micro-batch (≥ this request's own count) —
     /// how much coalescing the policy achieved.
     pub coalesced_tokens: usize,
-    /// Which replica served the micro-batch — always 0 behind a plain
-    /// [`ServeQueue`], the replica index behind a
-    /// [`ReplicaPool`].
+    /// Index of the [`ReplicaPool`](crate::pool::ReplicaPool) replica
+    /// that served the micro-batch (always 0 behind a one-replica pool).
     pub replica: usize,
 }
 
@@ -342,125 +321,5 @@ impl core::fmt::Debug for BatchTicket {
         f.debug_struct("BatchTicket")
             .field("ready", &self.is_ready())
             .finish()
-    }
-}
-
-/// An async submission queue serving one backend to many client threads.
-///
-/// Submissions are accepted from any thread through `&self`; one
-/// dispatcher thread owns the backend and works through the queue in
-/// FIFO order, coalescing requests into micro-batches per the
-/// [`QueuePolicy`]. Internally this is a one-replica FIFO
-/// [`ReplicaPool`]; see the
-/// [module docs](crate::queue) for the full contract and an end-to-end
-/// example.
-pub struct ServeQueue {
-    pool: ReplicaPool,
-}
-
-impl ServeQueue {
-    /// Spawns the dispatcher thread, builds the backend *on* it via
-    /// `factory` (so non-`Send` backends serve like any other), and
-    /// opens the queue. `ns` is the pipeline-stage count submissions are
-    /// checked against at `submit` time, so one malformed request is
-    /// rejected at its own call site instead of poisoning a coalesced
-    /// micro-batch.
-    ///
-    /// The queue runs the default
-    /// [`RecoveryPolicy`](crate::pool::RecoveryPolicy): transiently
-    /// failed micro-batches are retried with backoff before any ticket
-    /// sees the error. Being factory-built (one-shot, possibly
-    /// non-`Send`), the single replica cannot be respawned — a panic
-    /// retires it and closes the queue. Use
-    /// [`ReplicaPool::from_recipes`](crate::pool::ReplicaPool::from_recipes)
-    /// when crash-respawn matters.
-    ///
-    /// # Errors
-    ///
-    /// Returns the factory's own [`BackendError`] when the backend fails
-    /// to construct, and [`BackendError::QueueClosed`] when the
-    /// dispatcher dies before reporting readiness.
-    pub fn from_factory(
-        policy: QueuePolicy,
-        ns: usize,
-        factory: BackendFactory,
-    ) -> Result<ServeQueue, BackendError> {
-        let pool = ReplicaPool::from_factories(
-            ServePolicy::default().with_queue(policy),
-            ns,
-            vec![factory],
-        )?;
-        Ok(ServeQueue { pool })
-    }
-
-    /// Submits one request; returns immediately with a ticket the caller
-    /// can poll or block on. Requests are served in submission order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::ShapeMismatch`] for tokens that do not
-    /// match the backend's stage count (checked here, so a bad request
-    /// cannot fail a coalesced micro-batch for everyone else),
-    /// [`BackendError::QueueFull`] when [`QueuePolicy::max_depth`]
-    /// requests are already unresolved or accepting the batch would
-    /// exceed [`QueuePolicy::max_pending_tokens`] queued tokens, and
-    /// [`BackendError::QueueClosed`]
-    /// after [`close`](ServeQueue::close)/[`shutdown`](ServeQueue::shutdown).
-    pub fn submit(&self, batch: TokenBatch) -> Result<BatchTicket, BackendError> {
-        self.pool.submit(batch)
-    }
-
-    /// Requests accepted but not yet resolved, right now.
-    pub fn depth(&self) -> usize {
-        self.pool.depth()
-    }
-
-    /// The coalescing/backpressure policy this queue runs.
-    pub fn policy(&self) -> &QueuePolicy {
-        &self.pool.policy().queue
-    }
-
-    /// Pipeline stages every submission must provide per token.
-    pub fn ns(&self) -> usize {
-        self.pool.ns()
-    }
-
-    /// A snapshot of the aggregate statistics so far: everything a
-    /// direct [`Session`](crate::session::Session) measures, plus
-    /// queue-wait percentiles, coalesced micro-batch sizes and the
-    /// deepest backlog observed.
-    pub fn stats(&self) -> SessionStats {
-        self.pool.stats()
-    }
-
-    /// Stops accepting submissions (they answer
-    /// [`BackendError::QueueClosed`]) while the dispatcher drains every
-    /// request already accepted. Does not block; pair with
-    /// [`shutdown`](ServeQueue::shutdown) or ticket waits to observe the
-    /// drain finishing.
-    pub fn close(&self) {
-        self.pool.close();
-    }
-
-    /// Closes the queue, waits for the dispatcher to drain and resolve
-    /// every accepted ticket, and returns the final statistics.
-    pub fn shutdown(self) -> SessionStats {
-        self.pool.shutdown()
-    }
-
-    /// Seeds the statistics (used by [`Session::into_serving`] to carry
-    /// a session's already-accumulated measurements into the queue).
-    pub(crate) fn seed_stats(&self, stats: SessionStats) {
-        self.pool.seed_stats(stats);
-    }
-}
-
-impl core::fmt::Debug for ServeQueue {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ServeQueue")
-            .field("policy", self.policy())
-            .field("ns", &self.ns())
-            .field("depth", &self.depth())
-            .finish_non_exhaustive()
     }
 }

@@ -9,12 +9,11 @@
 //! accumulate identically whatever executes the batches, and swapping
 //! [`BackendKind`]s never changes a single output bit.
 
-use crate::backend::{validate_program, BackendFactory, BackendKind, MacroBackend};
+use crate::backend::{validate_program, BackendKind, MacroBackend};
 use crate::batch::{BatchResult, TokenBatch};
 use crate::cache::CacheStats;
 use crate::error::BackendError;
 use crate::pool::{PoolHealth, ReplicaFactory, ReplicaPool, ServePolicy};
-use crate::queue::{QueuePolicy, ServeQueue};
 use core::fmt;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
@@ -61,35 +60,11 @@ impl SessionBuilder {
         Ok(Session {
             cfg: self.cfg,
             backend,
-            // The recipe lets `into_serving` rebuild this exact backend
-            // on the queue's dispatcher thread (netlists are not `Send`).
+            // The recipe lets `into_pool` rebuild this exact backend on
+            // each replica thread (netlists are not `Send`).
             recipe: Some((program, self.kind)),
             stats: SessionStats::default(),
         })
-    }
-
-    /// Builds straight into an async [`ServeQueue`]: the program is
-    /// validated here (fail fast, on the caller's thread) and the
-    /// `(program, kind)` recipe goes directly to the queue's dispatcher,
-    /// which constructs the one backend that will actually serve.
-    /// Prefer this over `build()?.into_serving(policy)` when the session
-    /// is only ever used through the queue — it skips building (and
-    /// discarding) a caller-side backend, which for RTL kinds is a full
-    /// netlist elaboration.
-    ///
-    /// # Errors
-    ///
-    /// As [`SessionBuilder::build`], plus the queue's own construction
-    /// failures ([`BackendError::QueueClosed`] when the dispatcher dies
-    /// before reporting ready).
-    pub fn into_serving(self, policy: QueuePolicy) -> Result<ServeQueue, BackendError> {
-        let program = self.program.ok_or(BackendError::MissingProgram)?;
-        validate_program(&self.cfg, &program)?;
-        let cfg = self.cfg;
-        let ns = cfg.ns;
-        let kind = self.kind;
-        let factory: BackendFactory = Box::new(move || kind.build(&cfg, program));
-        ServeQueue::from_factory(policy, ns, factory)
     }
 
     /// Builds straight into a [`ReplicaPool`]: the program is validated
@@ -149,7 +124,7 @@ pub struct Session {
     cfg: MacroConfig,
     backend: Box<dyn MacroBackend>,
     /// `(program, kind)` when built through the builder — what
-    /// [`Session::into_serving`] rebuilds on the dispatcher thread.
+    /// [`Session::into_pool`] rebuilds on each replica thread.
     /// `None` for [`Session::from_backend`] sessions.
     recipe: Option<(MacroProgram, BackendKind)>,
     stats: SessionStats,
@@ -174,34 +149,6 @@ impl Session {
             recipe: None,
             stats: SessionStats::default(),
         }
-    }
-
-    /// Converts this session into an async [`ServeQueue`] so many client
-    /// threads can share the backend: the session's `(program, backend
-    /// kind)` recipe is rebuilt on the queue's dispatcher thread (which
-    /// is what lets non-`Send` backends, i.e. netlists, serve), and the
-    /// statistics accumulated so far carry over and keep growing as the
-    /// queue serves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::QueueUnavailable`] for sessions made with
-    /// [`Session::from_backend`] — a caller-constructed backend cannot
-    /// be rebuilt on another thread; hand a factory to
-    /// [`ServeQueue::from_factory`] instead. Construction failures of
-    /// the rebuilt backend propagate as that backend's own errors.
-    pub fn into_serving(self, policy: QueuePolicy) -> Result<ServeQueue, BackendError> {
-        let (program, kind) = self.recipe.ok_or_else(|| BackendError::QueueUnavailable {
-            reason: "session was built from a caller-constructed backend; \
-                     use ServeQueue::from_factory"
-                .into(),
-        })?;
-        let cfg = self.cfg;
-        let ns = cfg.ns;
-        let factory: BackendFactory = Box::new(move || kind.build(&cfg, program));
-        let queue = ServeQueue::from_factory(policy, ns, factory)?;
-        queue.seed_stats(self.stats);
-        Ok(queue)
     }
 
     /// Converts this session into a [`ReplicaPool`] of
@@ -296,7 +243,7 @@ impl fmt::Debug for Session {
 }
 
 /// Aggregate measurements across every batch a [`Session`] has run —
-/// and, when the session serves through a [`ServeQueue`], across every
+/// and, when the session serves through a [`ReplicaPool`], across every
 /// dispatched micro-batch: queue-wait percentiles, coalesced micro-batch
 /// sizes and the deepest backlog observed.
 #[derive(Debug, Clone, Default)]
@@ -1068,27 +1015,27 @@ mod tests {
     fn builder_serves_directly_without_a_local_backend() {
         let cfg = MacroConfig::new(2, 2);
         let program = MacroProgram::random(2, 2, 3);
-        let queue = Session::builder(cfg)
+        let pool = Session::builder(cfg)
             .program(program.clone())
-            .into_serving(QueuePolicy::default())
+            .into_pool(ServePolicy::default())
             .unwrap();
         let batch = TokenBatch::random(2, 2, 1);
-        let reply = queue.submit(batch.clone()).unwrap().wait().unwrap();
+        let reply = pool.submit(batch.clone()).unwrap().wait().unwrap();
         assert_eq!(
             reply.result.tokens[0].outputs,
             program.reference_output(&batch.tokens()[0])
         );
-        assert_eq!(queue.shutdown().tokens(), 2);
+        assert_eq!(pool.shutdown().tokens(), 2);
         // The direct path fails as fast as build() on bad input.
         assert_eq!(
             Session::builder(MacroConfig::new(1, 1))
-                .into_serving(QueuePolicy::default())
+                .into_pool(ServePolicy::default())
                 .unwrap_err(),
             BackendError::MissingProgram
         );
         let mismatch = Session::builder(MacroConfig::new(2, 2))
             .program(MacroProgram::random(2, 3, 0))
-            .into_serving(QueuePolicy::default())
+            .into_pool(ServePolicy::default())
             .unwrap_err();
         assert!(matches!(mismatch, BackendError::ProgramMismatch { .. }));
     }
@@ -1409,36 +1356,5 @@ mod tests {
         assert_eq!(after.cache_misses(), misses_before + 2);
         assert_eq!(after.cache_hits(), hits_before + 2);
         assert!(after.p50_token_latency().is_some());
-    }
-
-    /// As above for `Session::into_serving` (the one-replica queue).
-    #[test]
-    fn reservoirs_and_cache_counters_survive_into_serving_carry_over() {
-        let cfg = MacroConfig::new(2, 2);
-        let program = MacroProgram::random(2, 2, 29);
-        let mut s = Session::builder(cfg)
-            .program(program)
-            .backend(BackendKind::Cached {
-                cache: crate::cache::CacheConfig::default(),
-                inner: crate::backend::CachedKind::Rtl {
-                    fidelity: Fidelity::Sequential,
-                },
-            })
-            .build()
-            .unwrap();
-        let batch = TokenBatch::random(2, 3, 37);
-        s.run(&batch).unwrap();
-        s.run(&batch).unwrap();
-        let p50_before = s.stats().p50_token_latency().expect("RTL measured");
-        let hits_before = s.stats().cache_hits();
-        let misses_before = s.stats().cache_misses();
-
-        let queue = s.into_serving(QueuePolicy::default()).unwrap();
-        queue.submit(batch.clone()).unwrap().wait().unwrap();
-        queue.submit(batch).unwrap().wait().unwrap();
-        let after = queue.shutdown();
-        assert_eq!(after.p50_token_latency(), Some(p50_before));
-        assert_eq!(after.cache_misses(), misses_before + 3);
-        assert_eq!(after.cache_hits(), hits_before + 3);
     }
 }

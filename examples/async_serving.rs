@@ -8,7 +8,8 @@
 //! that path end to end:
 //!
 //! 1. build a flagship-shaped `Session` and convert it into a
-//!    `ServeQueue` with `Session::into_serving`,
+//!    one-replica FIFO `ReplicaPool` with
+//!    `into_pool(ServePolicy::default().with_queue(policy))`,
 //! 2. hammer it from several client threads and read the queue-side
 //!    statistics (wait percentiles, coalesced micro-batch sizes, peak
 //!    backlog) off the shared `SessionStats`,
@@ -27,10 +28,10 @@ const TOKENS_PER_REQUEST: usize = 16;
 
 fn main() {
     // ── 1. A session builder becomes a serving queue ───────────────────
-    // The queue's dispatcher thread builds the backend from the
-    // builder's (program, kind) recipe, so even non-Send backends
-    // (netlists) can serve. (A running `Session` converts too, with
-    // `Session::into_serving`, carrying its stats along.) The policy
+    // The queue's replica thread builds the backend from the builder's
+    // (program, kind) recipe, so even non-Send backends (netlists) can
+    // serve. (A running `Session` converts too, with
+    // `Session::into_pool`, carrying its stats along.) The policy
     // bounds micro-batches at 128 tokens, lingers up to 200 µs to let
     // them fill, and holds at most 256 unresolved requests before
     // pushing back.
@@ -43,7 +44,7 @@ fn main() {
     let queue = Session::builder(cfg.clone())
         .program(program.clone())
         .backend(BackendKind::Functional { workers: 1 })
-        .into_serving(policy)
+        .into_pool(ServePolicy::default().with_queue(policy))
         .expect("queue comes up");
 
     // ── 2. Concurrent clients share the backend ────────────────────────
@@ -101,7 +102,7 @@ fn main() {
         .backend(BackendKind::Rtl {
             fidelity: Fidelity::Sequential,
         })
-        .into_serving(QueuePolicy::default().with_max_depth(2))
+        .into_pool(ServePolicy::default().with_queue(QueuePolicy::default().with_max_depth(2)))
         .expect("queue comes up");
     let mut accepted = Vec::new();
     let mut rejected = 0usize;
@@ -126,7 +127,7 @@ fn main() {
 
     // ── 4. Clean shutdown ──────────────────────────────────────────────
     // shutdown() closes intake, drains every accepted ticket, joins the
-    // dispatcher and hands back the final statistics.
+    // replica thread and hands back the final statistics.
     let final_stats = slow.shutdown();
     println!("RTL queue after shutdown: {final_stats}");
     let final_stats = queue.shutdown();

@@ -106,10 +106,10 @@ proptest! {
         prop_assert_eq!(&sharded, &single, "{} shards over {} chains", shards, ndec);
     }
 
-    /// The batched-kernel contract: both lane kernels (portable and
-    /// bit-sliced), at every worker count, are bit-identical to the scalar
-    /// executable spec — across token counts that are not a multiple of
-    /// the 64-token lane width, single tokens, and full-range `i8` inputs
+    /// The batched-kernel contract: the batched kernel, directly and
+    /// through the backend at every worker count, is bit-identical to the
+    /// scalar executable spec — across token counts on both sides of 64
+    /// and 128, single tokens, and full-range `i8` inputs
     /// whose accumulations wrap the `i16` extremes.
     #[test]
     fn batched_kernels_match_the_scalar_spec(
@@ -127,23 +127,15 @@ proptest! {
             .map(|t| program.reference_output(t))
             .collect();
         // Straight through the struct-of-arrays view…
-        let view = program.batched();
-        for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-            prop_assert_eq!(
-                &view.evaluate_with(batch.tokens(), kernel),
-                &golden,
-                "core {:?} with {} tokens",
-                kernel,
-                count
-            );
-        }
+        prop_assert_eq!(
+            &program.batched().evaluate(batch.tokens()),
+            &golden,
+            "core kernel with {} tokens",
+            count
+        );
         prop_assert_eq!(&program.reference_output_batch(batch.tokens()), &golden);
-        // …and through the threaded backend, which shards lane blocks.
-        for kernel in [
-            FunctionalKernel::Scalar,
-            FunctionalKernel::Portable,
-            FunctionalKernel::BitSliced,
-        ] {
+        // …and through the threaded backend, which shards the batch.
+        for kernel in [FunctionalKernel::Scalar, FunctionalKernel::Portable] {
             for workers in [1usize, 3] {
                 let mut backend =
                     FunctionalBackend::with_kernel(program.clone(), workers, kernel);
@@ -170,23 +162,15 @@ proptest! {
 fn batched_edge_cases_match_the_scalar_spec() {
     let program = MacroProgram::random(3, 2, 5);
     let view = program.batched();
-    // Empty input: no outputs, no panic, on both kernels.
+    // Empty input: no outputs, no panic.
     let empty: Vec<Token> = Vec::new();
     assert!(view.evaluate(&empty).is_empty());
-    for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-        assert!(view.evaluate_with(&empty, kernel).is_empty());
-    }
-    // One token is a 1-wide lane.
+    // A single token.
     let one = TokenBatch::random(2, 1, 8);
     let golden = program.reference_output(&one.tokens()[0]);
-    for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-        assert_eq!(
-            view.evaluate_with(one.tokens(), kernel),
-            vec![golden.clone()]
-        );
-    }
+    assert_eq!(view.evaluate(one.tokens()), vec![golden]);
     // Max-magnitude accumulation: 600 stages of ±extreme LUT bytes wrap
-    // the 16-bit accumulators several times over; the batched kernels
+    // the 16-bit accumulators several times over; the batched kernel
     // must wrap identically to the scalar walk.
     let ns = 600;
     let tree = maddpipe::amm::bdt::BdtEncoder::from_parts(vec![0, 1, 2, 3], vec![0.0; 15])
@@ -203,14 +187,7 @@ fn batched_edge_cases_match_the_scalar_spec() {
         .map(|t| deep.reference_output(t))
         .collect();
     assert_eq!(golden[0][0], (-128i32 * ns as i32) as i16); // wrapped
-    let deep_view = deep.batched();
-    for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-        assert_eq!(
-            deep_view.evaluate_with(batch.tokens(), kernel),
-            golden,
-            "{kernel:?}"
-        );
-    }
+    assert_eq!(deep.batched().evaluate(batch.tokens()), golden);
 }
 
 /// Latency observations are backend-appropriate: absent on functional,
