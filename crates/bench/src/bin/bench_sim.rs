@@ -119,7 +119,7 @@ fn macro_tokens_per_sec() -> (f64, f64) {
 /// given worker count and kernel — the thread-scaling rows of the
 /// snapshot. The `Scalar` rows keep the historical
 /// `backend_tokens_per_sec` baseline comparable across PRs; the batched
-/// lane kernels are reported in the `functional_simd` section against it.
+/// block kernel is reported in the `functional_simd` section against it.
 fn functional_tokens_per_sec(workers: usize, kernel: FunctionalKernel) -> f64 {
     let cfg = MacroConfig::paper_flagship();
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 7);
@@ -724,7 +724,6 @@ fn main() {
     // `functional_flagship_w1` baseline above (which deliberately still
     // measures the one-token-at-a-time executable spec).
     let _ = writeln!(json, "  \"functional_simd\": {{");
-    let _ = writeln!(json, "    \"portable_w1_tokens_per_sec\": {simd_w1:.0},");
     let _ = writeln!(json, "    \"w1_tokens_per_sec\": {simd_w1:.0},");
     let _ = writeln!(json, "    \"host_cpus_tokens_per_sec\": {simd_host:.0},");
     let _ = writeln!(

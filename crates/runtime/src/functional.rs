@@ -9,7 +9,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How a [`FunctionalBackend`] evaluates the LUT math of each shard.
 ///
-/// The default is the batched kernel ([`BatchedProgram::evaluate`]).
+/// The default is the batched kernel ([`BatchedProgram::evaluate_into`]).
 /// Both kernels are bit-identical; `Scalar` keeps the original
 /// one-token-at-a-time walk ([`MacroProgram::reference_output`])
 /// selectable as the executable spec and as a benchmarking baseline.
@@ -25,8 +25,8 @@ pub enum FunctionalKernel {
 
 /// Executes batches with the exact wrapping-i16 LUT semantics of the
 /// silicon — no timing model — through the struct-of-arrays
-/// [`BatchedProgram`] view, sharding each batch across OS threads for
-/// throughput.
+/// [`BatchedProgram`] view, sharding each batch across the calling
+/// thread and `workers - 1` scoped threads for throughput.
 ///
 /// [`MacroProgram::reference_output`] remains the executable spec; the
 /// batched kernel is pinned bit-identical to it by proptest, and
@@ -89,15 +89,19 @@ impl FunctionalBackend {
         self.kernel
     }
 
-    /// Evaluates one contiguous shard of tokens, converting any panic in
-    /// the LUT math into a typed transient error.
-    fn eval_shard(&self, shard: &[Token]) -> Result<Vec<Vec<i16>>, BackendError> {
+    /// Evaluates one contiguous shard of tokens into its token-major
+    /// slice of the output buffer, converting any panic in the LUT math
+    /// into a typed transient error.
+    fn eval_shard(&self, shard: &[Token], out: &mut [i16]) -> Result<(), BackendError> {
         let run = || match self.kernel {
-            FunctionalKernel::Scalar => shard
-                .iter()
-                .map(|t| self.program.reference_output(t))
-                .collect(),
-            FunctionalKernel::Portable => self.batched.evaluate(shard),
+            FunctionalKernel::Scalar => {
+                let ndec = self.batched.ndec();
+                for (i, token) in shard.iter().enumerate() {
+                    out[i * ndec..(i + 1) * ndec]
+                        .copy_from_slice(&self.program.reference_output(token));
+                }
+            }
+            FunctionalKernel::Portable => self.batched.evaluate_into(shard, out),
         };
         catch_unwind(AssertUnwindSafe(run)).map_err(|payload| BackendError::Transient {
             reason: format!("functional worker panicked: {}", panic_reason(&*payload)),
@@ -140,53 +144,46 @@ impl MacroBackend for FunctionalBackend {
     fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
         batch.check_shape(self.program.ns())?;
         let tokens = batch.tokens();
-        let sizes = shard_sizes(tokens.len(), self.workers);
-        let outputs: Vec<Vec<i16>> = if sizes.len() <= 1 {
-            self.eval_shard(tokens)?
-        } else {
-            // Contiguous shards, one per worker; joining in spawn order
-            // restores submission order. Every handle is joined before
-            // any error is surfaced, so no worker outlives the batch.
-            let this = &*self;
-            std::thread::scope(|scope| {
-                let mut start = 0usize;
-                let handles: Vec<_> = sizes
-                    .iter()
-                    .map(|&len| {
-                        let shard = &tokens[start..start + len];
-                        start += len;
-                        scope.spawn(move || this.eval_shard(shard))
+        let ndec = self.batched.ndec();
+        let mut flat = vec![0i16; tokens.len() * ndec];
+        // Contiguous shards, each writing its own disjoint slice of the
+        // one output buffer. The first shard runs on the calling thread;
+        // every spawned handle is joined before any error is surfaced, so
+        // no worker outlives the batch.
+        let mut shards = Vec::new();
+        let (mut tokens_left, mut out_left) = (tokens, flat.as_mut_slice());
+        for len in shard_sizes(tokens.len(), self.workers) {
+            let (shard, t) = tokens_left.split_at(len);
+            let (out, o) = out_left.split_at_mut(len * ndec);
+            shards.push((shard, out));
+            (tokens_left, out_left) = (t, o);
+        }
+        let this = &*self;
+        std::thread::scope(|scope| {
+            let mut shards = shards.into_iter();
+            let first = shards.next();
+            let handles: Vec<_> = shards
+                .map(|(shard, out)| scope.spawn(move || this.eval_shard(shard, out)))
+                .collect();
+            let mut result = first.map_or(Ok(()), |(shard, out)| this.eval_shard(shard, out));
+            for handle in handles {
+                // eval_shard already catches panics in the LUT math, so a
+                // join error means the thread died some other way — still
+                // a typed error, never an abort of the whole process.
+                let joined = handle.join().unwrap_or_else(|_| {
+                    Err(BackendError::Transient {
+                        reason: "functional worker thread terminated abnormally".into(),
                     })
-                    .collect();
-                let mut all = Vec::with_capacity(tokens.len());
-                let mut failure: Option<BackendError> = None;
-                for handle in handles {
-                    match handle.join() {
-                        Ok(Ok(mut outs)) => all.append(&mut outs),
-                        Ok(Err(e)) => failure = failure.or(Some(e)),
-                        // eval_shard already catches panics in the LUT
-                        // math, so a join error means the thread died
-                        // some other way — still a typed error, never an
-                        // abort of the whole process.
-                        Err(_) => {
-                            failure = failure.or(Some(BackendError::Transient {
-                                reason: "functional worker thread terminated abnormally".into(),
-                            }));
-                        }
-                    }
-                }
-                match failure {
-                    Some(e) => Err(e),
-                    None => Ok(all),
-                }
-            })?
-        };
+                });
+                result = result.and(joined);
+            }
+            result
+        })?;
         Ok(BatchResult {
             backend: self.name(),
-            tokens: outputs
-                .into_iter()
-                .map(|outputs| TokenObservation {
-                    outputs,
+            tokens: (0..tokens.len())
+                .map(|i| TokenObservation {
+                    outputs: flat[i * ndec..(i + 1) * ndec].to_vec(),
                     latency: None,
                     energy: None,
                 })

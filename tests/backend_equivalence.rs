@@ -108,14 +108,15 @@ proptest! {
 
     /// The batched-kernel contract: the batched kernel, directly and
     /// through the backend at every worker count, is bit-identical to the
-    /// scalar executable spec — across token counts on both sides of 64
-    /// and 128, single tokens, and full-range `i8` inputs
+    /// scalar executable spec — across token counts on both sides of the
+    /// 64-token blocks, decoder counts on both sides of the 16-wide
+    /// accumulator chunks, single tokens, and full-range `i8` inputs
     /// whose accumulations wrap the `i16` extremes.
     #[test]
     fn batched_kernels_match_the_scalar_spec(
-        ndec in 1usize..=17,
-        ns in 1usize..=4,
-        count in 1usize..=130,
+        ndec in 1usize..=33,
+        ns in 1usize..=34,
+        count in 1usize..=200,
         program_seed in 0u64..1000,
         token_seed in 0u64..1000,
     ) {
