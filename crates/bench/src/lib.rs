@@ -22,8 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod load_gen;
-
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -96,10 +94,8 @@ fn workspace_results(start: &Path) -> Option<PathBuf> {
         .map(|root| root.join("results"))
 }
 
-/// Shared workloads for the event-kernel benchmarks, used by both the
-/// Criterion bench (`benches/sim_kernel.rs`) and the `bench_sim` binary
-/// that records `results/BENCH_sim.json` — one definition, so the two
-/// always measure the same circuits.
+/// Workloads for the event-kernel Criterion bench
+/// (`benches/sim_kernel.rs`).
 pub mod kernel_workloads {
     use maddpipe_core::config::{MacroConfig, SUBVECTOR_LEN};
     use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};

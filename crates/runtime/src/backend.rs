@@ -120,11 +120,23 @@ impl BackendKind {
             }
         })
     }
+
+    /// The rebuildable `(program, kind)` recipe every replica and macro
+    /// stage is built from: each call constructs a fresh backend on the
+    /// calling thread, so a replica thread builds its own (netlists are
+    /// not `Send`) and a crashed one can be rebuilt.
+    pub(crate) fn recipe(
+        self,
+        cfg: MacroConfig,
+        program: MacroProgram,
+    ) -> crate::pool::ReplicaFactory {
+        std::sync::Arc::new(move || self.build(&cfg, program.clone()))
+    }
 }
 
 /// What a [`BackendKind::Cached`] tier fronts — every [`BackendKind`]
-/// except another cache (cache tiers do not nest; a sharded inner may
-/// still carry per-shard caches via [`ShardKind::Cached`]).
+/// except another cache (cache tiers do not nest; a sharded inner sits
+/// behind one store shared by all its shards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachedKind {
     /// Pure LUT math on `workers` threads.
@@ -165,20 +177,9 @@ impl From<CachedKind> for BackendKind {
     }
 }
 
-impl From<LeafKind> for CachedKind {
-    fn from(kind: LeafKind) -> CachedKind {
-        match kind {
-            LeafKind::Functional { workers } => CachedKind::Functional { workers },
-            LeafKind::Rtl { fidelity } => CachedKind::Rtl { fidelity },
-            LeafKind::Analytic => CachedKind::Analytic,
-        }
-    }
-}
-
 /// The backend one shard of a
 /// [`ShardedBackend`](crate::sharded::ShardedBackend) executes on — the
-/// leaf kinds of [`BackendKind`] (shards do not nest), optionally behind
-/// a per-shard result cache.
+/// leaf kinds of [`BackendKind`] (shards do not nest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardKind {
     /// Pure LUT math on `workers` threads per shard.
@@ -193,16 +194,6 @@ pub enum ShardKind {
     },
     /// The closed-form PPA model, one per shard.
     Analytic,
-    /// A leaf kind behind a per-shard
-    /// [`CachedBackend`](crate::cache::CachedBackend): each shard caches
-    /// its own sub-program's results, keyed on the sub-program's
-    /// fingerprint, and the sharded backend aggregates the counters.
-    Cached {
-        /// Capacity bounds of each shard's result store.
-        cache: crate::cache::CacheConfig,
-        /// The leaf kind the shard executes on a miss.
-        inner: LeafKind,
-    },
 }
 
 impl Default for ShardKind {
@@ -217,45 +208,6 @@ impl From<ShardKind> for BackendKind {
             ShardKind::Functional { workers } => BackendKind::Functional { workers },
             ShardKind::Rtl { fidelity } => BackendKind::Rtl { fidelity },
             ShardKind::Analytic => BackendKind::Analytic,
-            ShardKind::Cached { cache, inner } => BackendKind::Cached {
-                cache,
-                inner: inner.into(),
-            },
-        }
-    }
-}
-
-/// The three uncached leaf executors — what sits at the very bottom of
-/// every composition ([`ShardKind::Cached`] shards run one of these on
-/// a miss).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeafKind {
-    /// Pure LUT math on `workers` threads.
-    Functional {
-        /// Worker threads (1 = the owning thread).
-        workers: usize,
-    },
-    /// The event-driven netlist.
-    Rtl {
-        /// Sequential handshaking or pipelined streaming.
-        fidelity: Fidelity,
-    },
-    /// The closed-form PPA model.
-    Analytic,
-}
-
-impl Default for LeafKind {
-    fn default() -> LeafKind {
-        LeafKind::Functional { workers: 1 }
-    }
-}
-
-impl From<LeafKind> for ShardKind {
-    fn from(kind: LeafKind) -> ShardKind {
-        match kind {
-            LeafKind::Functional { workers } => ShardKind::Functional { workers },
-            LeafKind::Rtl { fidelity } => ShardKind::Rtl { fidelity },
-            LeafKind::Analytic => ShardKind::Analytic,
         }
     }
 }
@@ -298,8 +250,7 @@ pub trait MacroBackend {
     /// A cumulative [`CacheStats`](crate::cache::CacheStats) snapshot,
     /// when this backend carries a result-cache tier (a
     /// [`CachedBackend`](crate::cache::CachedBackend) directly, or a
-    /// composition aggregating one — sharded backends sum their shard
-    /// stores, wrappers delegate). Uncached backends return `None`, and
+    /// wrapper delegating to one). Uncached backends return `None`, and
     /// serving layers skip the harvest entirely.
     fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
         None

@@ -29,9 +29,9 @@
 //! entry.
 //!
 //! Deploy a cached tier declaratively via
-//! [`BackendKind::Cached`](crate::backend::BackendKind::Cached) (or
-//! per-shard via [`ShardKind::Cached`](crate::backend::ShardKind::Cached))
-//! — sessions, serve queues, replica pools and pipeline stages all
+//! [`BackendKind::Cached`](crate::backend::BackendKind::Cached) (a
+//! sharded inner sits behind one store shared by all its shards) —
+//! sessions, serve queues, replica pools and pipeline stages all
 //! build from the same `(program, kind)` recipe, and
 //! [`SessionStats`](crate::session::SessionStats) aggregates the
 //! [`CacheStats`] counters wherever the tier is deployed.
@@ -237,7 +237,7 @@ impl CacheStats {
     }
 
     /// Field-wise sum — combines snapshots of *distinct* stores (e.g.
-    /// per-shard or per-replica caches).
+    /// per-replica caches).
     pub fn merged(self, other: CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits + other.hits,
@@ -429,7 +429,7 @@ impl CacheStore {
 }
 
 /// A shared handle on a [`CacheStore`] — what a [`CachedBackend`] holds,
-/// and what composes per-shard stores into one aggregate view.
+/// and what lets several backends share one store.
 pub type SharedCacheStore = Arc<Mutex<CacheStore>>;
 
 /// Locks a store, tolerating poison: the store's own operations cannot

@@ -7,17 +7,12 @@ use maddpipe_core::batched::BatchedProgram;
 use maddpipe_core::macro_rtl::MacroProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// How a [`FunctionalBackend`] evaluates the LUT math of each shard.
-///
-/// The default is the batched kernel ([`BatchedProgram::evaluate_into`]).
-/// Both kernels are bit-identical; `Scalar` keeps the original
-/// one-token-at-a-time walk ([`MacroProgram::reference_output`])
-/// selectable as the executable spec and as a benchmarking baseline.
+/// How a [`FunctionalBackend`] evaluates the LUT math of each shard:
+/// always the batched kernel ([`BatchedProgram::evaluate_into`]), pinned
+/// bit-identical to [`MacroProgram::reference_output`] by proptest.
+/// Kept as a named host fact that benchmark reports can record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FunctionalKernel {
-    /// One token at a time through the scalar reference — the executable
-    /// spec the batched kernel is pinned against.
-    Scalar,
     /// The batched struct-of-arrays kernel ([`BatchedProgram`]).
     #[default]
     Portable,
@@ -29,8 +24,7 @@ pub enum FunctionalKernel {
 /// thread and `workers - 1` scoped threads for throughput.
 ///
 /// [`MacroProgram::reference_output`] remains the executable spec; the
-/// batched kernel is pinned bit-identical to it by proptest, and
-/// [`FunctionalKernel::Scalar`] keeps the spec selectable at runtime.
+/// batched kernel is pinned bit-identical to it by proptest.
 ///
 /// A panic on a worker thread (e.g. a malformed hand-built program whose
 /// tree walk escapes the 16-entry LUT) is caught and surfaced as a typed
@@ -44,33 +38,22 @@ pub struct FunctionalBackend {
     program: MacroProgram,
     batched: BatchedProgram,
     workers: usize,
-    kernel: FunctionalKernel,
 }
 
 impl FunctionalBackend {
-    /// Single-threaded backend for `program` with the default kernel.
+    /// Single-threaded backend for `program`.
     pub fn new(program: MacroProgram) -> FunctionalBackend {
         FunctionalBackend::with_workers(program, 1)
     }
 
     /// Backend sharding each batch across `workers` threads (clamped to at
-    /// least 1), with the default kernel.
+    /// least 1).
     pub fn with_workers(program: MacroProgram, workers: usize) -> FunctionalBackend {
-        FunctionalBackend::with_kernel(program, workers, FunctionalKernel::default())
-    }
-
-    /// Backend with an explicit kernel choice.
-    pub fn with_kernel(
-        program: MacroProgram,
-        workers: usize,
-        kernel: FunctionalKernel,
-    ) -> FunctionalBackend {
         let batched = program.batched();
         FunctionalBackend {
             program,
             batched,
             workers: workers.max(1),
-            kernel,
         }
     }
 
@@ -84,25 +67,11 @@ impl FunctionalBackend {
         self.workers
     }
 
-    /// The kernel this backend evaluates shards with.
-    pub fn kernel(&self) -> FunctionalKernel {
-        self.kernel
-    }
-
     /// Evaluates one contiguous shard of tokens into its token-major
     /// slice of the output buffer, converting any panic in the LUT math
     /// into a typed transient error.
     fn eval_shard(&self, shard: &[Token], out: &mut [i16]) -> Result<(), BackendError> {
-        let run = || match self.kernel {
-            FunctionalKernel::Scalar => {
-                let ndec = self.batched.ndec();
-                for (i, token) in shard.iter().enumerate() {
-                    out[i * ndec..(i + 1) * ndec]
-                        .copy_from_slice(&self.program.reference_output(token));
-                }
-            }
-            FunctionalKernel::Portable => self.batched.evaluate_into(shard, out),
-        };
+        let run = || self.batched.evaluate_into(shard, out);
         catch_unwind(AssertUnwindSafe(run)).map_err(|payload| BackendError::Transient {
             reason: format!("functional worker panicked: {}", panic_reason(&*payload)),
         })
@@ -221,12 +190,10 @@ mod tests {
             .iter()
             .map(|t| program.reference_output(t))
             .collect();
-        for kernel in [FunctionalKernel::Scalar, FunctionalKernel::Portable] {
-            for workers in [1usize, 3] {
-                let mut backend = FunctionalBackend::with_kernel(program.clone(), workers, kernel);
-                let got = backend.run_batch(&batch).unwrap();
-                assert_eq!(got.outputs(), golden, "{kernel:?} with {workers} workers");
-            }
+        for workers in [1usize, 3] {
+            let mut backend = FunctionalBackend::with_workers(program.clone(), workers);
+            let got = backend.run_batch(&batch).unwrap();
+            assert_eq!(got.outputs(), golden, "{workers} workers");
         }
     }
 
@@ -252,7 +219,7 @@ mod tests {
     }
 
     /// A well-formed-looking program whose 5-level tree walks every token
-    /// to leaf 31 — off the end of the 16-entry LUT — so any kernel
+    /// to leaf 31 — off the end of the 16-entry LUT — so the kernel
     /// panics mid-evaluation, like a corrupted hand-built program would.
     fn panicking_program() -> MacroProgram {
         let tree = maddpipe_amm::bdt::BdtEncoder::from_parts(vec![0; 5], vec![-128.0; 31])
@@ -268,31 +235,27 @@ mod tests {
     fn worker_panic_resolves_as_typed_transient_error() {
         // Regression: this used to `.expect` on the join handle, turning
         // any worker panic into a process abort.
-        for kernel in [FunctionalKernel::Scalar, FunctionalKernel::Portable] {
-            for workers in [1usize, 4] {
-                let mut backend =
-                    FunctionalBackend::with_kernel(panicking_program(), workers, kernel);
-                let batch = TokenBatch::random(1, 8, 3);
-                let err = backend.run_batch(&batch).unwrap_err();
-                match &err {
-                    BackendError::Transient { reason } => {
-                        assert!(
-                            reason.contains("functional worker panicked"),
-                            "{kernel:?}/{workers}: {reason}"
-                        );
-                        // The kernel's own panic text, not an opaque
-                        // placeholder: the scalar spec indexes the LUT,
-                        // the batched kernel slices its code-major row.
-                        let own_text = match kernel {
-                            FunctionalKernel::Scalar => "index out of bounds",
-                            FunctionalKernel::Portable => "out of range for slice",
-                        };
-                        assert!(reason.contains(own_text), "{kernel:?}/{workers}: {reason}");
-                    }
-                    other => panic!("{kernel:?}/{workers}: expected Transient, got {other:?}"),
+        for workers in [1usize, 4] {
+            let mut backend = FunctionalBackend::with_workers(panicking_program(), workers);
+            let batch = TokenBatch::random(1, 8, 3);
+            let err = backend.run_batch(&batch).unwrap_err();
+            match &err {
+                BackendError::Transient { reason } => {
+                    assert!(
+                        reason.contains("functional worker panicked"),
+                        "{workers}: {reason}"
+                    );
+                    // The kernel's own panic text, not an opaque
+                    // placeholder: the batched kernel slices its
+                    // code-major row.
+                    assert!(
+                        reason.contains("out of range for slice"),
+                        "{workers}: {reason}"
+                    );
                 }
-                assert!(err.is_transient());
+                other => panic!("{workers}: expected Transient, got {other:?}"),
             }
+            assert!(err.is_transient());
         }
     }
 

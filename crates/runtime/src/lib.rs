@@ -70,8 +70,7 @@ pub mod sharded;
 
 pub use analytic::AnalyticBackend;
 pub use backend::{
-    validate_program, BackendFactory, BackendKind, CachedKind, Fidelity, LeafKind, MacroBackend,
-    ShardKind,
+    validate_program, BackendFactory, BackendKind, CachedKind, Fidelity, MacroBackend, ShardKind,
 };
 pub use batch::{BatchResult, Token, TokenBatch, TokenObservation};
 pub use cache::{
@@ -98,7 +97,7 @@ pub use sharded::{ShardFactory, ShardedBackend};
 pub mod prelude {
     pub use crate::analytic::AnalyticBackend;
     pub use crate::backend::{
-        BackendFactory, BackendKind, CachedKind, Fidelity, LeafKind, MacroBackend, ShardKind,
+        BackendFactory, BackendKind, CachedKind, Fidelity, MacroBackend, ShardKind,
     };
     pub use crate::batch::{BatchResult, Token, TokenBatch, TokenObservation};
     pub use crate::cache::{

@@ -171,10 +171,10 @@ impl MacroStage {
         decode: impl Fn(&BatchResult) -> Result<Vec<f32>, BackendError> + Send + Sync + 'static,
     ) -> Result<MacroStage, BackendError> {
         crate::backend::validate_program(cfg, &program)?;
-        let cfg = cfg.clone();
-        let ns = cfg.ns;
-        let recipe: ReplicaFactory = Arc::new(move || kind.build(&cfg, program.clone()));
-        Ok(MacroStage::from_recipe(name, ns, recipe, encode, decode))
+        let recipe = kind.recipe(cfg.clone(), program);
+        Ok(MacroStage::from_recipe(
+            name, cfg.ns, recipe, encode, decode,
+        ))
     }
 
     /// Builds a macro stage from an arbitrary rebuildable recipe — the

@@ -13,12 +13,11 @@ use crate::backend::{validate_program, BackendKind, MacroBackend};
 use crate::batch::{BatchResult, TokenBatch};
 use crate::cache::CacheStats;
 use crate::error::BackendError;
-use crate::pool::{PoolHealth, ReplicaFactory, ReplicaPool, ServePolicy};
+use crate::pool::{PoolHealth, ReplicaPool, ServePolicy};
 use core::fmt;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
 use maddpipe_tech::units::{Joules, Seconds};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Builder for a [`Session`]; see [`Session::builder`].
@@ -85,18 +84,9 @@ impl SessionBuilder {
     pub fn into_pool(self, policy: ServePolicy) -> Result<ReplicaPool, BackendError> {
         let program = self.program.ok_or(BackendError::MissingProgram)?;
         validate_program(&self.cfg, &program)?;
-        let cfg = self.cfg;
-        let ns = cfg.ns;
-        let kind = self.kind;
-        let recipes = (0..policy.replicas.max(1))
-            .map(|_| {
-                let cfg = cfg.clone();
-                let program = program.clone();
-                let recipe: ReplicaFactory = Arc::new(move || kind.build(&cfg, program.clone()));
-                recipe
-            })
-            .collect();
-        ReplicaPool::from_recipes(policy, ns, recipes)
+        let (ns, replicas) = (self.cfg.ns, policy.replicas.max(1));
+        let recipe = self.kind.recipe(self.cfg, program);
+        ReplicaPool::from_recipes(policy, ns, vec![recipe; replicas])
     }
 }
 
@@ -173,17 +163,9 @@ impl Session {
                      use ReplicaPool::from_factories"
                 .into(),
         })?;
-        let cfg = self.cfg;
-        let ns = cfg.ns;
-        let recipes = (0..policy.replicas.max(1))
-            .map(|_| {
-                let cfg = cfg.clone();
-                let program = program.clone();
-                let recipe: ReplicaFactory = Arc::new(move || kind.build(&cfg, program.clone()));
-                recipe
-            })
-            .collect();
-        let pool = ReplicaPool::from_recipes(policy, ns, recipes)?;
+        let (ns, replicas) = (self.cfg.ns, policy.replicas.max(1));
+        let recipe = kind.recipe(self.cfg, program);
+        let pool = ReplicaPool::from_recipes(policy, ns, vec![recipe; replicas])?;
         pool.seed_stats(self.stats);
         Ok(pool)
     }

@@ -22,7 +22,7 @@
 //! exhausted retry budget rejects the whole batch with a typed
 //! [`BackendError::Shard`]. No partial output ever escapes.
 
-use crate::backend::{validate_program, BackendFactory, MacroBackend, ShardKind};
+use crate::backend::{validate_program, BackendFactory, BackendKind, MacroBackend, ShardKind};
 use crate::batch::{BatchResult, TokenBatch, TokenObservation};
 use crate::error::BackendError;
 use crate::plan::ShardPlan;
@@ -92,10 +92,6 @@ pub struct ShardedBackend {
     ns: usize,
     workers: Vec<Worker>,
     recovery: RecoveryPolicy,
-    /// Handles on the per-shard result stores when the shards run
-    /// [`ShardKind::Cached`] — kept host-side so [`MacroBackend::cache_stats`]
-    /// can aggregate counters without a worker round-trip.
-    cache_handles: Vec<crate::cache::SharedCacheStore>,
 }
 
 impl ShardedBackend {
@@ -125,77 +121,22 @@ impl ShardedBackend {
         }
         let subs = plan.split(program)?;
         let ns = program.ns();
-        // Per-shard cache stores are created host-side so the sharded
-        // backend keeps an aggregation handle; the factory closure moves
-        // a clone onto the worker thread.
-        let mut cache_handles = Vec::new();
         let factories = subs
             .into_iter()
             .zip(kinds)
             .map(|(sub, &kind)| {
                 let mut shard_cfg = cfg.clone();
                 shard_cfg.ndec = sub.ndec();
-                let store = match kind {
-                    ShardKind::Cached { cache, .. } => {
-                        let store = std::sync::Arc::new(std::sync::Mutex::new(
-                            crate::cache::CacheStore::new(cache),
-                        ));
-                        cache_handles.push(std::sync::Arc::clone(&store));
-                        Some(store)
-                    }
-                    _ => None,
-                };
-                let factory: ShardFactory = Box::new(move || {
-                    fn leaf(
-                        kind: crate::backend::LeafKind,
-                        shard_cfg: &MacroConfig,
-                        sub: MacroProgram,
-                    ) -> Result<Box<dyn MacroBackend>, BackendError> {
-                        Ok(match kind {
-                            crate::backend::LeafKind::Functional { workers } => Box::new(
-                                crate::functional::FunctionalBackend::with_workers(sub, workers),
-                            )
-                                as Box<dyn MacroBackend>,
-                            crate::backend::LeafKind::Rtl { fidelity } => {
-                                Box::new(crate::rtl::RtlBackend::new(shard_cfg, &sub, fidelity)?)
-                            }
-                            crate::backend::LeafKind::Analytic => {
-                                Box::new(crate::analytic::AnalyticBackend::new(shard_cfg, sub)?)
-                            }
-                        })
-                    }
-                    Ok(match kind {
-                        ShardKind::Functional { workers } => Box::new(
-                            crate::functional::FunctionalBackend::with_workers(sub, workers),
-                        )
-                            as Box<dyn MacroBackend>,
-                        ShardKind::Rtl { fidelity } => {
-                            Box::new(crate::rtl::RtlBackend::new(&shard_cfg, &sub, fidelity)?)
-                        }
-                        ShardKind::Analytic => {
-                            Box::new(crate::analytic::AnalyticBackend::new(&shard_cfg, sub)?)
-                        }
-                        ShardKind::Cached { inner, .. } => {
-                            let fronted = leaf(inner, &shard_cfg, sub.clone())?;
-                            Box::new(crate::cache::CachedBackend::with_store(
-                                fronted,
-                                &sub,
-                                store.expect("cached shard kinds carry a host-side store"),
-                            ))
-                        }
-                    })
-                });
+                let factory: ShardFactory =
+                    Box::new(move || BackendKind::from(kind).build(&shard_cfg, sub));
                 factory
             })
             .collect();
-        let mut backend = ShardedBackend::from_factories(plan, ns, factories)?;
-        backend.cache_handles = cache_handles;
-        Ok(backend)
+        ShardedBackend::from_factories(plan, ns, factories)
     }
 
     /// [`ShardedBackend::new`] with an even [`ShardPlan`] over `cfg.ndec`
-    /// and the same `kind` on every shard — what
-    /// [`BackendKind::Sharded`](crate::backend::BackendKind::Sharded)
+    /// and the same `kind` on every shard — what [`BackendKind::Sharded`]
     /// builds.
     ///
     /// # Errors
@@ -286,7 +227,6 @@ impl ShardedBackend {
             ns,
             workers,
             recovery: RecoveryPolicy::default(),
-            cache_handles: Vec::new(),
         })
     }
 
@@ -468,22 +408,6 @@ impl MacroBackend for ShardedBackend {
             makespan,
             energy,
         })
-    }
-
-    /// The field-wise sum over the per-shard stores when the shards run
-    /// [`ShardKind::Cached`]; `None` for uncached shard sets (including
-    /// anything built through [`ShardedBackend::from_factories`], which
-    /// cannot see inside custom factories).
-    fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        if self.cache_handles.is_empty() {
-            return None;
-        }
-        Some(
-            self.cache_handles
-                .iter()
-                .map(|store| store.lock().unwrap_or_else(|p| p.into_inner()).stats())
-                .fold(crate::cache::CacheStats::default(), |acc, s| acc.merged(s)),
-        )
     }
 }
 

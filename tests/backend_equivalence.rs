@@ -136,21 +136,17 @@ proptest! {
         );
         prop_assert_eq!(&program.reference_output_batch(batch.tokens()), &golden);
         // …and through the threaded backend, which shards the batch.
-        for kernel in [FunctionalKernel::Scalar, FunctionalKernel::Portable] {
-            for workers in [1usize, 3] {
-                let mut backend =
-                    FunctionalBackend::with_kernel(program.clone(), workers, kernel);
-                let got = backend.run_batch(&batch).expect("batch completes");
-                let got: Vec<Vec<i16>> = got.tokens.into_iter().map(|t| t.outputs).collect();
-                prop_assert_eq!(
-                    &got,
-                    &golden,
-                    "backend {:?} with {} workers, {} tokens",
-                    kernel,
-                    workers,
-                    count
-                );
-            }
+        for workers in [1usize, 3] {
+            let mut backend = FunctionalBackend::with_workers(program.clone(), workers);
+            let got = backend.run_batch(&batch).expect("batch completes");
+            let got: Vec<Vec<i16>> = got.tokens.into_iter().map(|t| t.outputs).collect();
+            prop_assert_eq!(
+                &got,
+                &golden,
+                "backend with {} workers, {} tokens",
+                workers,
+                count
+            );
         }
     }
 }

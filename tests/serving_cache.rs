@@ -134,33 +134,13 @@ fn cached_rtl_pool_is_bit_identical() {
 
 #[test]
 fn cached_sharded_pool_is_bit_identical() {
-    // Cache over the whole sharded composition…
+    // One cache over the whole sharded composition.
     let stats = stress_cached_pool(
         BackendKind::Cached {
             cache: CacheConfig::default(),
             inner: CachedKind::Sharded {
                 shards: 2,
                 inner: ShardKind::Functional { workers: 1 },
-            },
-        },
-        8,
-        4,
-        2,
-    );
-    assert!(stats.cache_misses() > 0 && stats.cache_hits() + stats.cache_dedup() > 0);
-}
-
-#[test]
-fn per_shard_cached_pool_is_bit_identical() {
-    // …and caches *inside* the shards: each shard keys on its own
-    // sub-program fingerprint, and the sharded backend aggregates the
-    // counters into the pool stats.
-    let stats = stress_cached_pool(
-        BackendKind::Sharded {
-            shards: 2,
-            inner: ShardKind::Cached {
-                cache: CacheConfig::default(),
-                inner: LeafKind::Functional { workers: 1 },
             },
         },
         8,
